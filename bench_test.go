@@ -586,7 +586,7 @@ func BenchmarkE9_SnapshotSpeedup(b *testing.B) {
 	// 200 executions per campaign: long enough that the plan list reaches
 	// past the front-loaded early-effect cluster (the causal ranking puts
 	// the hottest mined window first, where checkpoints save the least),
-	// short enough to keep the benchmark honest about ladder amortization.
+	// short enough to keep the benchmark honest about checkpoint-tree amortization.
 	const execs = 200
 	type row struct {
 		name         string

@@ -75,15 +75,17 @@ type Config struct {
 	// class affinity) instead of raw planner order.
 	Ranked bool
 	// Snapshot enables copy-on-write prefix checkpointing: per (target,
-	// seed), one extra plan-free run captures cluster snapshots at mined
-	// freeze points, and each plan execution forks from the latest
-	// checkpoint preceding the plan's earliest effect instead of
-	// re-simulating the prefix from t=0. Any execution whose fork cannot
-	// be proven byte-equivalent to a full replay (unsnapshotable cluster,
-	// unknown plan type, strict-past violation, restore error, panic,
-	// watchdog trip) silently falls back to the full-replay path, so every
-	// artifact — buckets, outcomes, telemetry records — is byte-identical
-	// to the same campaign with Snapshot off.
+	// seed), a checkpoint tree over the unperturbed run captures cluster
+	// snapshots at mined freeze points, and each plan execution forks from
+	// the deepest snapshot preceding the plan's earliest effect instead of
+	// re-simulating the prefix from t=0. With Explain, each detected
+	// bucket's minimization probes fork from a tree rooted at the bucket's
+	// example plan. Any execution whose fork cannot be proven
+	// byte-equivalent to a full replay (unsnapshotable cluster, unknown
+	// plan type, strict-past violation, restore error, panic, watchdog
+	// trip) falls back to the full-replay path, so every artifact —
+	// buckets, outcomes, telemetry records — is byte-identical to the same
+	// campaign with Snapshot off.
 	Snapshot bool
 	// Coverage seeds the campaign from a persistent cross-campaign corpus
 	// (see CoverageSeed): previously-detected buckets' example plans run
@@ -306,14 +308,14 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seedIdx int, seed int64
 	cr.PlansTotal = len(plans)
 	cr.Executions = 1 // the reference run
 
-	// Prefix-checkpoint substrate: one plan-free ladder run per (target,
-	// seed), shared read-only by all workers. nil (snapshotting off, an
-	// unsnapshotable target, or no capturable checkpoint) means every plan
-	// runs as a full replay. The ladder is infrastructure, not an
-	// execution: it is not counted and leaves no trace in any artifact.
-	var fs *forkState
+	// Prefix-checkpoint substrate: one checkpoint tree over the
+	// unperturbed run per (target, seed), shared read-only by all workers.
+	// nil (snapshotting off, or no capturable rung) means every plan runs
+	// as a full replay. The tree is infrastructure, not an execution: it
+	// is not counted and leaves no trace in any artifact.
+	var pt *planTree
 	if e.cfg.Snapshot {
-		fs = buildForkState(t, seed, plans, ref)
+		pt = buildPlanTree(t, core.NopPlan{}, seed, ref, effectQuantiles(plans, ref), e.cfg.EventBudget)
 	}
 
 	// Execution order: identity without learning; kept-then-deferred
@@ -360,9 +362,9 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seedIdx int, seed int64
 
 	run := func(plans []planRef, maxExec int) ([]slot, int) {
 		if e.cfg.Guided {
-			return e.runGuided(t, plans, seed, maxExec, fs, preSeen)
+			return e.runGuided(t, plans, seed, maxExec, pt, preSeen)
 		}
-		return e.runOrdered(t, plans, seed, maxExec, fs, false)
+		return e.runOrdered(t, plans, seed, maxExec, pt, false)
 	}
 
 	// Regression block: corpus bucket examples, in corpus order, always
@@ -372,7 +374,7 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seedIdx int, seed int64
 	detect := -1
 	regSlots := 0
 	if len(regRefs) > 0 {
-		regSlotsRun, regDetect := e.runOrdered(t, regRefs, seed, e.cfg.MaxExecutions, fs, true)
+		regSlotsRun, regDetect := e.runOrdered(t, regRefs, seed, e.cfg.MaxExecutions, pt, true)
 		slots = regSlotsRun
 		regSlots = len(regSlotsRun)
 		detect = regDetect
@@ -492,23 +494,19 @@ func (e *Engine) explainBuckets(t core.Target, agg *aggregator, refs map[int64]*
 // re-execution fork from a rung captured mid-plan, after the perturbed
 // prefix they share with the example, and fall back to full replays
 // whenever the fork cannot be proven exact — results are identical either
-// way, diagnosable fallbacks are counted.
+// way, diagnosable fallbacks are counted. Full replays run under the same
+// event-budget watchdog as campaign executions.
 func (e *Engine) explainBucket(t core.Target, agg *aggregator, b *FailureBucket, ex bucketExample, refs map[int64]*trace.Trace) {
 	defer func() { _ = recover() }()
-	runner := core.PlanRunner(core.RunPlanSeed)
 	var pt *planTree
 	if e.cfg.Snapshot {
-		pt = buildPlanTree(t, ex.plan, ex.seed, refs[ex.seed], nil)
+		ref := refs[ex.seed]
+		pt = buildPlanTree(t, ex.plan, ex.seed, ref, effectQuantiles(flatten(ex.plan, nil), ref), e.cfg.EventBudget)
 	}
-	if pt != nil {
-		runner = func(rt core.Target, q core.Plan, seed int64) core.Execution {
-			if exec, _, ok, cause := pt.run(rt, q, false); ok {
-				return exec
-			} else {
-				agg.noteFallback(cause)
-			}
-			return core.RunPlanSeed(rt, q, seed)
-		}
+	runner := func(rt core.Target, q core.Plan, seed int64) core.Execution {
+		exec, _, _, cause := pt.execute(rt, q, seed, false, e.cfg.EventBudget)
+		agg.noteFallback(cause)
+		return exec
 	}
 	minimal, execs := core.MinimizeSeedRun(t, ex.plan, ex.seed, runner)
 	switch mp := minimal.(type) {
@@ -521,37 +519,15 @@ func (e *Engine) explainBucket(t core.Target, agg *aggregator, b *FailureBucket,
 		minimal = narrowed
 		execs += more
 	}
-	var pert *trace.Trace
-	var violations []oracle.Violation
-	if pt != nil {
-		if pexec, tr, ok, cause := pt.run(t, minimal, true); ok {
-			pert, violations = tr, pexec.Violations
-		} else {
-			agg.noteFallback(cause)
-		}
-	}
-	if pert == nil {
-		pert, violations = perturbedTrace(t, minimal, ex.seed)
-	}
+	pexec, pert, _, cause := pt.execute(t, minimal, ex.seed, true, e.cfg.EventBudget)
+	agg.noteFallback(cause)
 	execs++ // the instrumented re-execution
 	b.MinimalPlan = minimal.Describe()
 	b.MinimalPlanID = minimal.ID()
 	b.MinimizeExecutions = execs
-	b.Explanation = explain.FromTraces(t, minimal, ex.seed, refs[ex.seed], pert, violations)
+	b.Explanation = explain.FromTraces(t, minimal, ex.seed, refs[ex.seed], pert, pexec.Violations)
 	agg.minimizeExecs += execs
 	agg.explained++
-}
-
-// perturbedTrace executes one plan with a recorder attached (the
-// explanation pass's instrumented re-execution).
-func perturbedTrace(t core.Target, p core.Plan, seed int64) (*trace.Trace, []oracle.Violation) {
-	c := t.Build(seed)
-	rec := trace.NewRecorder()
-	rec.Attach(c.World.Network(), c.Store.Store())
-	p.Apply(c)
-	t.Workload(c)
-	c.RunFor(t.Horizon)
-	return rec.T, c.Violations()
 }
 
 // runOrdered executes plans in list order across the worker pool.
@@ -563,7 +539,7 @@ func perturbedTrace(t core.Target, p core.Plan, seed int64) (*trace.Trace, []ora
 // forces the whole list (the corpus regression block). maxExec bounds
 // dispatches (0 = unlimited); the returned detect is a position in the
 // given list, not an original strategy index.
-func (e *Engine) runOrdered(t core.Target, plans []planRef, seed int64, maxExec int, fs *forkState, runAll bool) ([]slot, int) {
+func (e *Engine) runOrdered(t core.Target, plans []planRef, seed int64, maxExec int, pt *planTree, runAll bool) ([]slot, int) {
 	limit := len(plans)
 	if maxExec > 0 && maxExec < limit {
 		limit = maxExec
@@ -596,7 +572,7 @@ func (e *Engine) runOrdered(t core.Target, plans []planRef, seed int64, maxExec 
 					return
 				}
 				start := time.Now()
-				exec, sig, fb := e.execute(t, plans[i].plan, seed, instrument, fs)
+				exec, sig, fb := e.execute(t, plans[i].plan, seed, instrument, pt)
 				slots[i] = slot{
 					ran: true, planIndex: plans[i].index, plan: plans[i].plan,
 					exec: exec, sig: sig, wall: time.Since(start), fallback: fb,
@@ -634,7 +610,7 @@ func (e *Engine) runOrdered(t core.Target, plans []planRef, seed int64, maxExec 
 // set or the deferred tail; schedItem indices are positions in that list,
 // so coverage tie-breaking follows the learned order while reported plan
 // indices stay the strategy's.
-func (e *Engine) runGuided(t core.Target, plans []planRef, seed int64, maxExec int, fs *forkState, preSeen []Signature) ([]slot, int) {
+func (e *Engine) runGuided(t core.Target, plans []planRef, seed int64, maxExec int, pt *planTree, preSeen []Signature) ([]slot, int) {
 	limit := len(plans)
 	if maxExec > 0 && maxExec < limit {
 		limit = maxExec
@@ -673,7 +649,7 @@ func (e *Engine) runGuided(t core.Target, plans []planRef, seed int64, maxExec i
 			go func(bi int) {
 				defer wg.Done()
 				start := time.Now()
-				exec, sig, fb := e.execute(t, batch[bi].plan, seed, true, fs)
+				exec, sig, fb := e.execute(t, batch[bi].plan, seed, true, pt)
 				slots[seqs[bi]] = slot{
 					ran: true, planIndex: plans[batch[bi].index].index, plan: batch[bi].plan,
 					exec: exec, sig: sig, wall: time.Since(start), fallback: fb,
@@ -694,24 +670,16 @@ func (e *Engine) runGuided(t core.Target, plans []planRef, seed int64, maxExec i
 	return slots, detect
 }
 
-/// execute runs one plan: forked from a prefix checkpoint when the fork
-// substrate exists and can prove the fork exact, as a full replay
-// otherwise. Execution RECORDS are identical either way — fork vs. full
-// replay must never change any artifact byte — but diagnosable fallbacks
+// execute runs one plan: forked from the seed's checkpoint tree when the
+// tree exists and can prove the fork exact, as a full replay otherwise.
+// Execution RECORDS are identical either way — fork vs. full replay must
+// never change any artifact byte — but diagnosable fallbacks
 // (unsnapshotable cluster, strict-past violation, restore error, watchdog
 // trip) are counted per cause so a substrate that silently degrades to
 // full replay is visible in Stats.SnapshotFallbacks.
-func (e *Engine) execute(t core.Target, p core.Plan, seed int64, instrument bool, fs *forkState) (core.Execution, Signature, fallbackCause) {
-	if fs != nil {
-		exec, sig, ok, cause := runForked(t, p, seed, instrument, e.cfg.EventBudget, fs)
-		if ok {
-			return exec, sig, fallbackNone
-		}
-		exec, sig = runGuarded(t, p, seed, instrument, e.cfg.EventBudget)
-		return exec, sig, cause
-	}
-	exec, sig := runGuarded(t, p, seed, instrument, e.cfg.EventBudget)
-	return exec, sig, fallbackNone
+func (e *Engine) execute(t core.Target, p core.Plan, seed int64, instrument bool, pt *planTree) (core.Execution, Signature, fallbackCause) {
+	exec, tr, _, cause := pt.execute(t, p, seed, instrument, e.cfg.EventBudget)
+	return exec, execSignature(exec, tr), cause
 }
 
 // violates reports whether the named oracle appears in the violation list.

@@ -6,7 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -87,36 +90,39 @@ func TestSnapshotMatchesFullReplay(t *testing.T) {
 	}
 }
 
+// campaignTree builds the checkpoint tree a snapshotting campaign forks
+// its executions from: a NopPlan base with rungs at the effect quantiles of
+// the planner's plans.
+func campaignTree(t *testing.T, target core.Target, seed int64) (*planTree, []core.Plan, *trace.Trace) {
+	t.Helper()
+	ref, _ := core.ReferenceSeed(target, seed)
+	plans := core.NewPlanner().Plans(target, ref)
+	pt := buildPlanTree(target, core.NopPlan{}, seed, ref, effectQuantiles(plans, ref), 0)
+	if pt == nil || len(pt.rungs) == 0 {
+		t.Fatalf("%s: campaign tree has no rungs on a snapshotable target", target.Name)
+	}
+	return pt, plans, ref
+}
+
 // TestSnapshotActuallyForks guards against the cross-check passing
-// vacuously: on a snapshotable k8s target the fork substrate must build
-// and serve at least one checkpoint, and forked executions must agree
-// with their full replays plan by plan.
+// vacuously: on a snapshotable k8s target the campaign tree must build and
+// serve every one of the first 20 plans from a checkpoint, and forked
+// executions must agree with their full replays plan by plan.
 func TestSnapshotActuallyForks(t *testing.T) {
 	target := workload.Target59848()
 	seed := int64(1)
-	ref, _ := core.ReferenceSeed(target, seed)
-	plans := core.NewPlanner().Plans(target, ref)
-	fs := buildForkState(target, seed, plans, ref)
-	if fs == nil {
-		t.Fatal("buildForkState returned nil for a snapshotable target")
-	}
-	if len(fs.checkpoints) == 0 {
-		t.Fatal("fork state has no checkpoints")
-	}
+	pt, plans, _ := campaignTree(t, target, seed)
 	forked := 0
-	for i, p := range plans {
-		if i >= 20 {
-			break
-		}
-		exec, sig, ok, cause := runForked(target, p, seed, true, 0, fs)
+	for i, p := range plans[:20] {
+		exec, tr, ok, cause := pt.run(target, p, true)
 		if !ok {
-			if cause != fallbackNone {
-				t.Fatalf("plan %d (%s): diagnosable fallback cause %d", i, p.Describe(), cause)
-			}
+			t.Errorf("plan %d (%s): no fork (cause %d)", i, p.Describe(), cause)
 			continue
 		}
 		forked++
-		want, wantSig := runGuarded(target, p, seed, true, 0)
+		sig := execSignature(exec, tr)
+		want, wantTr := runGuarded(target, p, seed, true, 0)
+		wantSig := execSignature(want, wantTr)
 		if !reflect.DeepEqual(exec.Violations, want.Violations) ||
 			exec.Detected != want.Detected || sig != wantSig {
 			t.Fatalf("plan %d (%s): fork diverged from full replay\nfork: det=%v sig=%x viol=%+v\nfull: det=%v sig=%x viol=%+v",
@@ -124,10 +130,110 @@ func TestSnapshotActuallyForks(t *testing.T) {
 				want.Detected, wantSig, want.Violations)
 		}
 	}
-	if forked == 0 {
-		t.Fatal("no plan forked: the snapshot cross-check would be vacuous")
+	t.Logf("forked %d/20 plans from %d rungs", forked, len(pt.rungs))
+}
+
+// TestCampaignTreeEligibility pins that routing campaign executions
+// through the checkpoint tree does not shrink fork eligibility: at world
+// seed 1 every planner plan has an eligible rung on every paper target and
+// on the 100-node scale targets.
+func TestCampaignTreeEligibility(t *testing.T) {
+	targets := workload.AllTargets()
+	if !testing.Short() {
+		targets = append(targets, workload.ScaleTargets()...)
 	}
-	t.Logf("forked %d/20 plans from %d checkpoints", forked, len(fs.checkpoints))
+	for _, target := range targets {
+		target := target
+		t.Run(target.Name, func(t *testing.T) {
+			pt, plans, _ := campaignTree(t, target, 1)
+			eligible := 0
+			for _, p := range plans {
+				if pt.forkRung(flatten(p, nil)) != nil {
+					eligible++
+				}
+			}
+			if eligible != len(plans) {
+				t.Fatalf("%d/%d plans have an eligible rung, want all", eligible, len(plans))
+			}
+		})
+	}
+}
+
+// TestDropRuleIsPerVictim: the k8s-56261 reference run loses watch pushes,
+// all to kubelet-n1. Occurrence-counted plans aimed elsewhere must still
+// fork; one aimed at kubelet-n1 must be refused, because its match stream
+// is incomplete.
+func TestDropRuleIsPerVictim(t *testing.T) {
+	target := workload.Target56261()
+	pt, plans, ref := campaignTree(t, target, 1)
+	const lossy = sim.NodeID("kubelet-n1")
+	if ref.DroppedPushesTo(lossy) == 0 {
+		t.Fatalf("reference run dropped no pushes to %s: the test is vacuous", lossy)
+	}
+	occ := 0
+	for _, p := range plans {
+		for _, sub := range flatten(p, nil) {
+			v, counted := occurrenceVictim(sub)
+			if !counted {
+				continue
+			}
+			occ++
+			if ref.DroppedPushesTo(v) > 0 {
+				t.Fatalf("planner plan %s targets lossy victim %s", sub.ID(), v)
+			}
+			if pt.forkRung([]core.Plan{sub}) == nil {
+				t.Errorf("occurrence-counted plan %s refused although %s lost no pushes", sub.ID(), v)
+			}
+		}
+	}
+	if occ == 0 {
+		t.Fatal("planner produced no occurrence-counted plans: the test is vacuous")
+	}
+	refused := core.GapPlan{Victim: lossy, Kind: cluster.KindPod, Name: "job-1", Occurrence: 1}
+	if _, ok := pt.divergence([]core.Plan{refused}); ok {
+		t.Fatalf("occurrence-counted plan aimed at %s was not refused", lossy)
+	}
+	t.Logf("%d occurrence-counted sub-plans fork; a gap at %s is refused", occ, lossy)
+}
+
+// TestForkStrictPastFallsBack: a novel perturbation whose timers reach
+// back into the checkpointed prefix cannot fork exactly. A time-travel plan
+// crashing its component before its freeze instant has an earliest effect
+// (the freeze) after the deepest rung but a crash timer before it; the fork
+// must refuse with a counted strict-past fallback instead of silently
+// burning the crash.
+func TestForkStrictPastFallsBack(t *testing.T) {
+	target := workload.Target59848()
+	pt, _, _ := campaignTree(t, target, 1)
+	last := pt.rungs[len(pt.rungs)-1].at
+	p := core.TimeTravelPlan{
+		Component: "scheduler",
+		StaleAPI:  "api-1",
+		FreezeAt:  last.Add(sim.Millisecond),
+		CrashAt:   pt.buildEnd.Add(sim.Millisecond),
+	}
+	if rg := pt.forkRung(flatten(p, nil)); rg == nil || rg.at <= p.CrashAt {
+		t.Fatal("test plan does not fork past its crash instant: the test is vacuous")
+	}
+	if _, _, ok, cause := pt.run(target, p, false); ok || cause != fallbackStrictPast {
+		t.Fatalf("run = ok %v cause %d, want a strict-past fallback", ok, cause)
+	}
+}
+
+// TestForkWatchdogHonoursBudget: the tree's fork watchdog runs on the
+// budget the tree was built with, not a hard-coded default — a tree built
+// with a one-step budget must trip it.
+func TestForkWatchdogHonoursBudget(t *testing.T) {
+	target := workload.Target59848()
+	ref, _ := core.ReferenceSeed(target, 1)
+	plans := core.NewPlanner().Plans(target, ref)
+	pt := buildPlanTree(target, core.NopPlan{}, 1, ref, effectQuantiles(plans, ref), 1)
+	if pt == nil {
+		t.Fatal("buildPlanTree returned nil")
+	}
+	if _, _, ok, cause := pt.run(target, plans[0], false); ok || cause != fallbackWatchdog {
+		t.Fatalf("run = ok %v cause %d, want a watchdog fallback", ok, cause)
+	}
 }
 
 // TestSnapshotGuidedAndLearning covers the remaining engine modes on one

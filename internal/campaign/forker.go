@@ -30,17 +30,17 @@ type Forker struct {
 // NewForker builds the fork substrate for (target, seed). candidates are
 // the virtual times the explorer wants checkpoints near — typically the
 // send times of its choice-point deliveries in the reference trace; each
-// rung is captured captureMargin earlier. A target that cannot snapshot
-// still yields a usable Forker: every Run is then a full replay.
+// rung is captured captureMargin earlier. The tree's base is the reference
+// run itself, so ref doubles as the base trace and the base run stops at
+// the last rung. A target that cannot snapshot still yields a usable
+// Forker: every Run is then a full replay.
 func NewForker(t core.Target, seed int64, ref *trace.Trace, candidates []sim.Time) *Forker {
-	f := &Forker{target: t, seed: seed}
-	f.pt = buildPlanTree(t, core.NopPlan{}, seed, ref, candidates)
-	return f
+	return &Forker{target: t, seed: seed, pt: buildPlanTree(t, core.NopPlan{}, seed, ref, candidates, 0)}
 }
 
 // Snapshotable reports whether the checkpoint tree was built — false
 // means every Run is a full replay (still correct, just slower).
-func (f *Forker) Snapshotable() bool { return f.pt != nil }
+func (f *Forker) Snapshotable() bool { return f.pt != nil && !f.pt.unsnapshotable }
 
 // Run executes plan q against a fresh logical instance of the target,
 // forking from the deepest eligible checkpoint when one qualifies. The
@@ -48,14 +48,13 @@ func (f *Forker) Snapshotable() bool { return f.pt != nil }
 // prefix + recorded suffix on the fork path), as a full instrumented
 // replay would produce.
 func (f *Forker) Run(q core.Plan) (core.Execution, *trace.Trace) {
-	if f.pt != nil {
-		if exec, tr, ok, _ := f.pt.run(f.target, q, true); ok && tr != nil {
-			f.Forks++
-			return exec, tr
-		}
+	exec, tr, forked, _ := f.pt.execute(f.target, q, f.seed, true, 0)
+	if forked {
+		f.Forks++
+	} else {
+		f.Replays++
 	}
-	f.Replays++
-	return f.replay(q)
+	return exec, tr
 }
 
 // Runner adapts the forker to the minimizer's PlanRunner contract
@@ -65,19 +64,4 @@ func (f *Forker) Runner() core.PlanRunner {
 		exec, _ := f.Run(q)
 		return exec
 	}
-}
-
-func (f *Forker) replay(q core.Plan) (core.Execution, *trace.Trace) {
-	c := f.target.Build(f.seed)
-	rec := trace.NewRecorder()
-	rec.Attach(c.World.Network(), c.Store.Store())
-	q.Apply(c)
-	f.target.Workload(c)
-	c.RunFor(f.target.Horizon)
-	return core.Execution{
-		Plan:       q,
-		Seed:       f.seed,
-		Violations: c.Violations(),
-		Detected:   c.Oracles.Violated(f.target.Bug),
-	}, rec.T
 }

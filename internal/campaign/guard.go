@@ -30,10 +30,11 @@ const maxStackBytes = 4096
 //     budget is exhausted before the virtual clock reaches the horizon, the
 //     execution is flagged Hung (livelocked) instead of spinning forever.
 //
-// With instrument set, a trace recorder is attached and the coverage
-// signature returned; failed and hung executions report signature 0 (their
-// traces are partial, and buckets must not alias them with healthy runs).
-func runGuarded(t core.Target, p core.Plan, seed int64, instrument bool, budget uint64) (exec core.Execution, sig Signature) {
+// With instrument set, a trace recorder is attached and the recorded trace
+// returned (partial for a hung execution, nil for a failed one). It is the
+// one full-replay path: campaign executions, explain probes and explorer
+// schedules all fall back to it when they cannot fork.
+func runGuarded(t core.Target, p core.Plan, seed int64, instrument bool, budget uint64) (exec core.Execution, tr *trace.Trace) {
 	if budget == 0 {
 		budget = DefaultEventBudget
 	}
@@ -44,15 +45,15 @@ func runGuarded(t core.Target, p core.Plan, seed int64, instrument bool, budget 
 				Plan: p, Seed: seed, Failed: true,
 				Failure: fmt.Sprintf("panic in plan %s: %v\n%s", p.ID(), r, sanitizeStack(debug.Stack())),
 			}
-			sig = 0
+			tr = nil
 		}
 	}()
 
 	c := t.Build(seed)
-	var rec *trace.Recorder
 	if instrument {
-		rec = trace.NewRecorder()
+		rec := trace.NewRecorder()
 		rec.Attach(c.World.Network(), c.Store.Store())
+		tr = rec.T
 	}
 	k := c.World.Kernel()
 	// The budget counts from here: cluster construction (warmup included)
@@ -72,12 +73,8 @@ func runGuarded(t core.Target, p core.Plan, seed int64, instrument bool, budget 
 		exec.Failure = fmt.Sprintf(
 			"watchdog: plan %s exhausted the event budget (%d kernel steps) at virtual time %s, short of the %s horizon — livelocked execution",
 			p.ID(), budget, k.Now(), deadline)
-		return exec, 0
 	}
-	if instrument {
-		sig = signatureOf(rec.T, exec.Violations)
-	}
-	return exec, sig
+	return exec, tr
 }
 
 // sanitizeStack reduces a panic stack to its deterministic skeleton:

@@ -59,7 +59,7 @@ func TestCheckpointTreeActuallyForks(t *testing.T) {
 	if detected == nil {
 		t.Fatal("no plan detects on k8s-59848: tree test is vacuous")
 	}
-	pt := buildPlanTree(target, detected, seed, ref, nil)
+	pt := buildPlanTree(target, detected, seed, ref, effectQuantiles(flatten(detected, nil), ref), 0)
 	if pt == nil {
 		t.Fatal("buildPlanTree returned nil for a snapshotable target")
 	}
@@ -130,20 +130,15 @@ func TestSnapshotFallbacksZeroOnCassandra(t *testing.T) {
 }
 
 // TestForkAtBuildBoundary is the InstallPending boundary regression: a
-// plan whose first perturbation lands exactly at the fork checkpoint's
-// instant — the build-boundary sequence band edge — must fork (not fall
-// back) and agree byte-for-byte with its full replay. Events carrying
-// seq == buildSeq are the last pre-build allocations and must NOT shift;
-// the first post-build allocation (the plan's own timer) must.
+// plan whose first perturbation lands exactly at the first rung's instant —
+// the build-boundary sequence band edge — must fork (not fall back) and
+// agree byte-for-byte with its full replay. Events carrying seq ==
+// buildSeq are the last pre-build allocations and must NOT shift; the
+// first post-build allocation (the plan's own timer) must.
 func TestForkAtBuildBoundary(t *testing.T) {
 	target := workload.Target59848()
 	seed := int64(1)
-	ref, _ := core.ReferenceSeed(target, seed)
-	plans := core.NewPlanner().Plans(target, ref)
-	fs := buildForkState(target, seed, plans, ref)
-	if fs == nil {
-		t.Fatal("buildForkState returned nil")
-	}
+	pt, plans, _ := campaignTree(t, target, seed)
 	var base core.StalenessPlan
 	found := false
 	for _, p := range plans {
@@ -156,18 +151,20 @@ func TestForkAtBuildBoundary(t *testing.T) {
 	if !found {
 		t.Fatal("planner produced no staleness plan")
 	}
-	// Pin the perturbation to the first checkpoint's capture instant: the
-	// plan's At timer is the first post-build allocation, and every pending
-	// event at or below buildSeq sits exactly on the no-shift side.
-	base.From = fs.checkpoints[0].at
+	// Pin the perturbation to the first rung's capture instant: the plan's
+	// At timer is the first post-build allocation, and every pending event
+	// at or below buildSeq sits exactly on the no-shift side.
+	base.From = pt.rungs[0].at
 	if base.Until != 0 && base.Until <= base.From {
 		base.Until = 0
 	}
-	exec, sig, ok, cause := runForked(target, base, seed, true, 0, fs)
+	exec, tr, ok, cause := pt.run(target, base, true)
 	if !ok {
 		t.Fatalf("build-boundary fork fell back (cause %d)", cause)
 	}
-	want, wantSig := runGuarded(target, base, seed, true, 0)
+	sig := execSignature(exec, tr)
+	want, wantTr := runGuarded(target, base, seed, true, 0)
+	wantSig := execSignature(want, wantTr)
 	if exec.Detected != want.Detected || sig != wantSig ||
 		!reflect.DeepEqual(exec.Violations, want.Violations) {
 		t.Fatalf("build-boundary fork diverged from full replay\nfork: det=%v sig=%x viol=%+v\nfull: det=%v sig=%x viol=%+v",

@@ -23,9 +23,10 @@ import (
 //   - a forked run re-applies the plan first (consuming the same sequence
 //     band a full replay's Apply would), then replays the workload in
 //     rehydration mode (burning the sequence numbers of pre-checkpoint
-//     actions), then re-installs pending events shifted by the plan's
-//     allocation count, and finally fast-forwards the sequence counter to
-//     the prefix counter plus that same shift.
+//     actions), then re-installs pending events shifted by the difference
+//     between the forked plan's allocation count and the base run's, and
+//     finally fast-forwards the sequence counter to the prefix counter
+//     plus that same shift.
 
 // PendingEvent describes one pending, tagged kernel event at capture time.
 type PendingEvent struct {
