@@ -2,6 +2,7 @@ package client
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/apiserver"
@@ -12,7 +13,8 @@ import (
 
 // EventHandler receives typed cache events from an Informer. For handlers
 // added after the cache is synced, the initial list is replayed as OnAdd
-// calls, matching client-go semantics.
+// calls, matching client-go semantics. The objects passed are the cached
+// ones and are read-only: a handler that needs a modified copy clones it.
 type EventHandler interface {
 	OnAdd(obj *cluster.Object)
 	OnUpdate(oldObj, newObj *cluster.Object)
@@ -75,6 +77,12 @@ type InformerConfig struct {
 // list+watch from the component's current apiserver. It is the analog of a
 // client-go SharedIndexInformer and — per the paper — the canonical home of
 // partial histories in infrastructure services.
+//
+// Cached objects are read-only. The informer installs a private clone of
+// every object it receives and never modifies it afterwards; everything it
+// hands out (Get, ListCached, ListOnNode, handler arguments) is that
+// cached pointer, shared with every other reader and with checkpoint
+// snapshots. A caller that wants to write an object back clones it first.
 type Informer struct {
 	conn *Conn
 	kind cluster.Kind
@@ -86,6 +94,12 @@ type Informer struct {
 	store    map[string]*cluster.Object // S'
 	lastRev  int64                      // frontier of H'
 	handlers []EventHandler
+
+	// Read paths derived from store, built on first use and then kept up
+	// to date by put and del: all orders every key, byNode orders the
+	// pods bound to each Pod.NodeName.
+	all    *sortedView
+	byNode map[string]*sortedView
 
 	// Obs records the order in which revisions were observed — raw
 	// material for time-travel detection by oracles.
@@ -116,8 +130,8 @@ func NewInformer(conn *Conn, kind cluster.Kind, cfg InformerConfig) *Informer {
 func (i *Informer) AddHandler(h EventHandler) {
 	i.handlers = append(i.handlers, h)
 	if i.synced {
-		for _, name := range i.sortedNames() {
-			h.OnAdd(i.store[name].Clone())
+		for _, o := range i.ListCached() {
+			h.OnAdd(o)
 		}
 	}
 }
@@ -162,35 +176,136 @@ func (i *Informer) Relists() int { return i.relists }
 // upstream and were rescheduled with backoff.
 func (i *Informer) Retries() int { return i.retries }
 
-// Get returns the cached object by name.
+// Get returns the cached object by name. The object is read-only.
 func (i *Informer) Get(name string) (*cluster.Object, bool) {
 	o, ok := i.store[name]
-	if !ok {
-		return nil, false
-	}
-	return o.Clone(), true
+	return o, ok
 }
 
 // ListCached returns all cached objects ordered by name — a sparse read of
-// S' in the paper's terms.
+// S' in the paper's terms. The slice and its objects are read-only and
+// shared: calls with no cache write in between return the same slice. Its
+// capacity equals its length, so appending to it copies.
 func (i *Informer) ListCached() []*cluster.Object {
-	out := make([]*cluster.Object, 0, len(i.store))
-	for _, name := range i.sortedNames() {
-		out = append(out, i.store[name].Clone())
+	return i.sorted().list(i.store)
+}
+
+// ListOnNode returns the cached pods whose Pod.NodeName is node, ordered
+// by name: ListCached filtered to one node, under the same read-only
+// contract. Objects without a pod payload are never listed.
+func (i *Informer) ListOnNode(node string) []*cluster.Object {
+	if i.byNode == nil {
+		i.byNode = make(map[string]*sortedView)
+		for _, o := range i.ListCached() {
+			i.index(o)
+		}
 	}
-	return out
+	v, ok := i.byNode[node]
+	if !ok {
+		return nil
+	}
+	return v.list(i.store)
 }
 
 // Len returns the number of cached objects.
 func (i *Informer) Len() int { return len(i.store) }
 
-func (i *Informer) sortedNames() []string {
-	names := make([]string, 0, len(i.store))
-	for n := range i.store {
-		names = append(names, n)
+func (i *Informer) sorted() *sortedView {
+	if i.all == nil {
+		names := make([]string, 0, len(i.store))
+		for n := range i.store {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		i.all = &sortedView{names: names}
 	}
-	sort.Strings(names)
-	return names
+	return i.all
+}
+
+// put installs a private clone of o and returns it with the entry it
+// replaced.
+func (i *Informer) put(o *cluster.Object) (cur, old *cluster.Object, existed bool) {
+	name := o.Meta.Name
+	old, existed = i.store[name]
+	cur = o.Clone()
+	i.store[name] = cur
+	if i.all != nil {
+		i.all.insert(name)
+	}
+	if i.byNode != nil {
+		if existed {
+			i.unindex(old)
+		}
+		i.index(cur)
+	}
+	return cur, old, existed
+}
+
+// del removes name from the cache and returns the entry it held.
+func (i *Informer) del(name string) (old *cluster.Object, existed bool) {
+	old, existed = i.store[name]
+	if !existed {
+		return nil, false
+	}
+	delete(i.store, name)
+	if i.all != nil {
+		i.all.remove(name)
+	}
+	if i.byNode != nil {
+		i.unindex(old)
+	}
+	return old, true
+}
+
+func (i *Informer) index(o *cluster.Object) {
+	if o.Pod == nil {
+		return
+	}
+	v, ok := i.byNode[o.Pod.NodeName]
+	if !ok {
+		v = &sortedView{}
+		i.byNode[o.Pod.NodeName] = v
+	}
+	v.insert(o.Meta.Name)
+}
+
+func (i *Informer) unindex(o *cluster.Object) {
+	if o.Pod != nil {
+		i.byNode[o.Pod.NodeName].remove(o.Meta.Name)
+	}
+}
+
+// sortedView is an ordered set of cache keys plus the shared slice of the
+// objects they name. Writes edit names in place and drop objs; the next
+// read rebuilds objs into a fresh array, so a slice handed out earlier
+// never changes.
+type sortedView struct {
+	names []string
+	objs  []*cluster.Object // nil until read after the last write
+}
+
+func (v *sortedView) insert(name string) {
+	if at, found := slices.BinarySearch(v.names, name); !found {
+		v.names = slices.Insert(v.names, at, name)
+	}
+	v.objs = nil
+}
+
+func (v *sortedView) remove(name string) {
+	if at, found := slices.BinarySearch(v.names, name); found {
+		v.names = slices.Delete(v.names, at, at+1)
+	}
+	v.objs = nil
+}
+
+func (v *sortedView) list(store map[string]*cluster.Object) []*cluster.Object {
+	if v.objs == nil {
+		v.objs = make([]*cluster.Object, len(v.names))
+		for k, name := range v.names {
+			v.objs[k] = store[name]
+		}
+	}
+	return v.objs
 }
 
 // relist pulls a full list and reconciles the cache against it, emitting
@@ -248,22 +363,23 @@ func (i *Informer) replace(objs []*cluster.Object, rev int64) {
 	sort.Strings(names)
 
 	for _, name := range names {
-		newObj := incoming[name]
-		old, existed := i.store[name]
-		i.store[name] = newObj.Clone()
+		cur, old, existed := i.put(incoming[name])
 		switch {
 		case !existed:
-			i.emitAdd(newObj)
-		case old.Meta.ResourceVersion != newObj.Meta.ResourceVersion:
-			i.emitUpdate(old, newObj)
+			i.emitAdd(cur)
+		case old.Meta.ResourceVersion != cur.Meta.ResourceVersion:
+			i.emitUpdate(old, cur)
 		}
 	}
-	for _, name := range i.sortedNames() {
+	var gone []string
+	for _, name := range i.sorted().names {
 		if _, ok := incoming[name]; !ok {
-			old := i.store[name]
-			delete(i.store, name)
-			i.emitDelete(old)
+			gone = append(gone, name)
 		}
+	}
+	for _, name := range gone {
+		old, _ := i.del(name)
+		i.emitDelete(old)
 	}
 	i.lastRev = rev
 	i.Obs.Record(history.Observation{Revision: rev, Key: "(relist)", Time: int64(i.conn.world.Now())})
@@ -310,28 +426,16 @@ func (i *Informer) onPush(events []apiserver.WatchEvent) {
 			// Duplicate or replayed event; client-go dedups by RV.
 			continue
 		}
-		name := ev.Object.Meta.Name
 		switch ev.Type {
-		case apiserver.Added:
-			old, existed := i.store[name]
-			i.store[name] = ev.Object.Clone()
+		case apiserver.Added, apiserver.Modified:
+			cur, old, existed := i.put(ev.Object)
 			if existed {
-				i.emitUpdate(old, ev.Object)
+				i.emitUpdate(old, cur)
 			} else {
-				i.emitAdd(ev.Object)
-			}
-		case apiserver.Modified:
-			old, existed := i.store[name]
-			i.store[name] = ev.Object.Clone()
-			if existed {
-				i.emitUpdate(old, ev.Object)
-			} else {
-				i.emitAdd(ev.Object)
+				i.emitAdd(cur)
 			}
 		case apiserver.Deleted:
-			old, existed := i.store[name]
-			delete(i.store, name)
-			if existed {
+			if old, existed := i.del(ev.Object.Meta.Name); existed {
 				i.emitDelete(old)
 			} else {
 				i.emitDelete(ev.Object)
@@ -371,18 +475,18 @@ func (i *Informer) livenessFire(epoch uint64) {
 
 func (i *Informer) emitAdd(o *cluster.Object) {
 	for _, h := range i.handlers {
-		h.OnAdd(o.Clone())
+		h.OnAdd(o)
 	}
 }
 
 func (i *Informer) emitUpdate(old, new *cluster.Object) {
 	for _, h := range i.handlers {
-		h.OnUpdate(old.Clone(), new.Clone())
+		h.OnUpdate(old, new)
 	}
 }
 
 func (i *Informer) emitDelete(o *cluster.Object) {
 	for _, h := range i.handlers {
-		h.OnDelete(o.Clone())
+		h.OnDelete(o)
 	}
 }

@@ -23,8 +23,10 @@ type ConnSnapshot struct {
 }
 
 // InformerSnapshot captures one informer cache. Cached object pointers are
-// shared: the informer only ever installs fresh clones and hands out
-// clones, never mutating a cached object in place.
+// shared with the live informer and with every cluster restored from the
+// snapshot. That is safe because cached objects are read-only: the
+// informer installs a fresh clone per received object and never modifies
+// it, and its readers clone before they write (see Informer).
 type InformerSnapshot struct {
 	Kind        cluster.Kind
 	Cfg         InformerConfig

@@ -277,9 +277,9 @@ func ParseKey(key string) (Kind, string, error) {
 // Encode serializes an object for storage. ResourceVersion is not encoded:
 // it is derived from the store revision on read, never trusted from bytes.
 func Encode(o *Object) ([]byte, error) {
-	c := o.Clone()
+	c := *o // shallow: json.Marshal only reads
 	c.Meta.ResourceVersion = 0
-	b, err := json.Marshal(c)
+	b, err := json.Marshal(&c)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encode %s: %w", o, err)
 	}

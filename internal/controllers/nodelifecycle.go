@@ -158,10 +158,7 @@ func (c *NodeLifecycleController) deleteNode(epoch uint64, node *cluster.Object)
 		}
 		c.DeletedNodes++
 		// Force-delete pods stranded on the dead node.
-		for _, pod := range c.podInf.ListCached() {
-			if pod.Pod == nil || pod.Pod.NodeName != node.Meta.Name {
-				continue
-			}
+		for _, pod := range c.podInf.ListOnNode(node.Meta.Name) {
 			name := pod.Meta.Name
 			c.conn.Delete(cluster.KindPod, name, 0, func(err error) {
 				if err == nil {

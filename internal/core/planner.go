@@ -127,6 +127,7 @@ func (p *Planner) Plans(t Target, ref *trace.Trace) []Plan {
 		name string
 	}
 	blackedOut := map[objKey]bool{}
+	actedOn := ref.WriteSet()
 	deliveries := ref.Deliveries
 	if p.DisableGaps {
 		deliveries = nil
@@ -138,7 +139,7 @@ func (p *Planner) Plans(t Target, ref *trace.Trace) []Plan {
 			continue
 		}
 		suspect := d.EventType == apiserver.Deleted || d.Terminating
-		acted := ref.ActedOn(d.To, d.Kind, d.Name)
+		acted := actedOn[trace.WriteKey{From: d.To, Kind: d.Kind, Name: d.Name}]
 		if p.CausalFilter && !suspect && !acted {
 			continue
 		}

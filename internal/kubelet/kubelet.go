@@ -362,9 +362,11 @@ func (k *Kubelet) syncPods(epoch uint64) {
 		}
 	}
 	k.restartPending = false
-	k.reconcile(epoch, k.informer.ListCached())
+	k.reconcile(epoch, k.informer.ListOnNode(k.cfg.NodeName))
 }
 
+// reconcile acts on the pods bound to this node among pods; the others are
+// ignored. pods is read-only.
 func (k *Kubelet) reconcile(epoch uint64, pods []*cluster.Object) {
 	desired := make(map[string]*cluster.Object)
 	for _, p := range pods {

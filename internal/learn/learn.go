@@ -178,7 +178,7 @@ func Mine(ref *trace.Trace, window sim.Duration) *Model {
 		kinds []cluster.Kind
 	}
 	writes := make(map[sim.NodeID]*writeIdx)
-	acted := make(map[sim.NodeID]map[objKey]bool)
+	acted := ref.WriteSet()
 	totals := make(map[sim.NodeID]*struct{ writes, cas int })
 	for _, w := range ref.Writes {
 		tot := totals[w.From]
@@ -191,12 +191,6 @@ func Mine(ref *trace.Trace, window sim.Duration) *Model {
 		if isCAS {
 			tot.cas++
 		}
-		set := acted[w.From]
-		if set == nil {
-			set = make(map[objKey]bool)
-			acted[w.From] = set
-		}
-		set[objKey{w.Kind, w.Name}] = true
 		if background(streamKey{w.From, objKey{w.Kind, w.Name}}) {
 			continue // heartbeat traffic: never attributed to a delivery
 		}
@@ -250,7 +244,7 @@ func Mine(ref *trace.Trace, window sim.Duration) *Model {
 				}
 			}
 		}
-		actedOn := acted[d.To][objKey{d.Kind, d.Name}]
+		actedOn := acted[trace.WriteKey{From: d.To, Kind: d.Kind, Name: d.Name}]
 		deletionAdjacent := d.EventType == apiserver.Deleted || d.Terminating
 		if attributed == 0 && !actedOn && !deletionAdjacent {
 			continue // observed but never consumed

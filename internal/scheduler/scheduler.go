@@ -164,19 +164,15 @@ func (s *Scheduler) reconcile(podName string) (controller.Result, error) {
 // rule existed. The choice uses only S' — the scheduler cannot know
 // about nodes or deletions it never observed.
 func (s *Scheduler) pickNode() (string, error) {
-	type cand struct {
-		name     string
-		free     int
-		rackLoad int
-	}
 	used := make(map[string]int)
 	for _, p := range s.podInf.ListCached() {
 		if p.Pod != nil && p.Pod.NodeName != "" && !p.Terminating() {
 			used[p.Pod.NodeName]++
 		}
 	}
+	nodes := s.nodeInf.ListCached()
 	rackOf := make(map[string]string)
-	for _, n := range s.nodeInf.ListCached() {
+	for _, n := range nodes {
 		if n.Node != nil && n.Node.Rack != "" {
 			rackOf[n.Meta.Name] = n.Node.Rack
 		}
@@ -187,29 +183,22 @@ func (s *Scheduler) pickNode() (string, error) {
 			rackLoad[rack] += count
 		}
 	}
-	var cands []cand
-	for _, n := range s.nodeInf.ListCached() {
+	// nodes is ordered by name, so keeping the first of equal candidates
+	// breaks the last tie by name.
+	best, bestFree, bestLoad := "", 0, 0
+	for _, n := range nodes {
 		if n.Node == nil || !n.Node.Ready || s.deadNodes[n.Meta.Name] {
 			continue
 		}
-		free := n.Node.Capacity - used[n.Meta.Name]
-		if free > 0 {
-			cands = append(cands, cand{n.Meta.Name, free, rackLoad[n.Node.Rack]})
+		free, load := n.Node.Capacity-used[n.Meta.Name], rackLoad[n.Node.Rack]
+		if free > 0 && (best == "" || free > bestFree || free == bestFree && load < bestLoad) {
+			best, bestFree, bestLoad = n.Meta.Name, free, load
 		}
 	}
-	if len(cands) == 0 {
+	if best == "" {
 		return "", ErrNoNodes
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].free != cands[j].free {
-			return cands[i].free > cands[j].free
-		}
-		if cands[i].rackLoad != cands[j].rackLoad {
-			return cands[i].rackLoad < cands[j].rackLoad
-		}
-		return cands[i].name < cands[j].name
-	})
-	return cands[0].name, nil
+	return best, nil
 }
 
 // bind validates the node's existence (the binding subresource check) and

@@ -279,16 +279,23 @@ func (t *Trace) DeliveriesTo(id sim.NodeID) []Delivery {
 	return out
 }
 
-// ActedOn reports whether component wrote to (kind, name) at any point —
-// the causality approximation: events about objects a component itself
+// WriteKey names an object a component wrote: (From, Kind, Name) of a
+// Write.
+type WriteKey struct {
+	From sim.NodeID
+	Kind cluster.Kind
+	Name string
+}
+
+// WriteSet returns every object each component wrote at any point — the
+// causality approximation: events about objects a component itself
 // manipulates are the likeliest to change its decisions (§7).
-func (t *Trace) ActedOn(component sim.NodeID, kind cluster.Kind, name string) bool {
+func (t *Trace) WriteSet() map[WriteKey]bool {
+	set := make(map[WriteKey]bool, len(t.Writes))
 	for _, w := range t.Writes {
-		if w.From == component && w.Kind == kind && w.Name == name {
-			return true
-		}
+		set[WriteKey{w.From, w.Kind, w.Name}] = true
 	}
-	return false
+	return set
 }
 
 // ListsBy returns how many full lists (relists) component id issued.

@@ -80,13 +80,17 @@ func TestRecorderWritesAndActedOn(t *testing.T) {
 	if len(r.T.Writes) != 3 {
 		t.Fatalf("writes = %d", len(r.T.Writes))
 	}
-	if !r.T.ActedOn("operator", cluster.KindPod, "cass-1") {
-		t.Fatal("ActedOn(pod) = false")
+	acted := r.T.WriteSet()
+	if len(acted) != 3 {
+		t.Fatalf("write set = %v", acted)
 	}
-	if !r.T.ActedOn("operator", cluster.KindPVC, "cass-1-data") {
-		t.Fatal("ActedOn(pvc) = false")
+	if !acted[WriteKey{"operator", cluster.KindPod, "cass-1"}] {
+		t.Fatal("operator's pod write missing from the write set")
 	}
-	if r.T.ActedOn("operator", cluster.KindCassandra, "cass") {
+	if !acted[WriteKey{"operator", cluster.KindPVC, "cass-1-data"}] {
+		t.Fatal("operator's pvc write missing from the write set")
+	}
+	if acted[WriteKey{"operator", cluster.KindCassandra, "cass"}] {
 		t.Fatal("operator credited with the admin's write")
 	}
 }
